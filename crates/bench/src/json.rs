@@ -526,16 +526,22 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the cap keeps hostile input from overflowing the
+/// stack; the repo's own artifacts nest at most 6 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 ///
 /// # Errors
 ///
 /// Returns an error describing the first malformed construct, with a
-/// byte offset.
+/// byte offset, including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -549,6 +555,8 @@ pub fn parse(s: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -593,8 +601,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(Error(format!("unexpected input at byte {}", self.pos))),
         }
@@ -817,6 +839,24 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("{\"a\" 1}").is_err());
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let arr = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let obj = |n: usize| "{\"a\":".repeat(n - 1) + "{}" + &"}".repeat(n - 1);
+        assert!(parse(&arr(MAX_DEPTH)).is_ok());
+        assert!(parse(&obj(MAX_DEPTH)).is_ok());
+        // 200 000 levels would overflow the stack of an uncapped parser.
+        for deep in [
+            arr(MAX_DEPTH + 1),
+            obj(MAX_DEPTH + 1),
+            arr(200_000),
+            obj(200_000),
+        ] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper"), "{err}");
+        }
     }
 
     #[test]

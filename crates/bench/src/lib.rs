@@ -5,12 +5,10 @@
 //! serializable result structs and a separate `render` layer that
 //! pretty-prints them; the `repro` binary dispatches to both
 //! (`repro list` shows the menu) and can emit one stable-schema JSON
-//! artifact per target via [`artifact`]. Criterion benches under
-//! `benches/` measure the wall-clock cost of the implementation's own
-//! kernels (solver, extraction simulation, gathers) and the ablation
-//! sweeps called out in `DESIGN.md`; [`microbench`] (`repro bench`)
+//! artifact per target via [`artifact`]. [`microbench`] (`repro bench`)
 //! measures the optimized hot paths against their frozen reference
-//! implementations and feeds the soft wall-clock gate.
+//! implementations and feeds the soft wall-clock gate; the ablation
+//! sweeps called out in `DESIGN.md` are asserted in `tests/ablations.rs`.
 
 #![deny(missing_docs)]
 

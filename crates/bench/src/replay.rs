@@ -173,6 +173,10 @@ fn normalize(record: &[Vec<u32>], g: usize) -> Vec<Vec<u32>> {
     shards
 }
 
+fn too_large(num_keys: u64) -> String {
+    format!("cannot allocate per-key counters for a {num_keys}-key domain")
+}
+
 /// Replays a decoded trace under `policy` on `platform` (or the
 /// trace-matched default) and returns the per-iteration hit counters.
 ///
@@ -180,7 +184,8 @@ fn normalize(record: &[Vec<u32>], g: usize) -> Vec<Vec<u32>> {
 ///
 /// Returns a message when no platform matches the trace's GPU count and
 /// none was given, or when the system cannot be built on the chosen
-/// platform (e.g. WholeGraph's launch constraints).
+/// platform (e.g. WholeGraph's launch constraints), or when the trace's
+/// key domain is too large to allocate per-key counters for.
 pub fn replay_trace(
     trace: &Trace,
     policy: PolicyId,
@@ -198,8 +203,14 @@ pub fn replay_trace(
     let g = plat.num_gpus();
 
     // Hotness comes from the trace's own key frequencies: the replay
-    // needs no dataset, only the stream.
-    let mut counts = vec![0u64; trace.num_keys as usize];
+    // needs no dataset, only the stream. The domain is read from the
+    // file, so a size this machine cannot hold is an error, not an abort.
+    let num_keys = usize::try_from(trace.num_keys).map_err(|_| too_large(trace.num_keys))?;
+    let mut counts: Vec<u64> = Vec::new();
+    counts
+        .try_reserve_exact(num_keys)
+        .map_err(|_| too_large(trace.num_keys))?;
+    counts.resize(num_keys, 0);
     for record in &trace.records {
         for keys in record {
             for &k in keys {
@@ -217,7 +228,7 @@ pub fn replay_trace(
         .map(Vec::len)
         .sum();
     let accesses_per_iter = total_keys as f64 / shards_per_record.len().max(1) as f64;
-    let cap_entries = (trace.num_keys as usize / (8 * g)).max(64);
+    let cap_entries = (num_keys / (8 * g)).max(64);
 
     let sys = build_system(
         system_kind(policy),
@@ -336,6 +347,21 @@ mod tests {
         let quad = replay_trace(&t, PolicyId::Hps, Some(PlatformId::ServerA)).unwrap();
         assert_eq!(quad.platform, "server_a");
         assert!(quad.totals.local + quad.totals.remote + quad.totals.host > 0);
+    }
+
+    #[test]
+    fn unallocatable_key_domain_is_an_error() {
+        // 2^62 u64 counters overflow the address space: the reservation
+        // fails before any memory is touched.
+        let t = Trace {
+            seed: 1,
+            num_gpus: 4,
+            num_keys: 1 << 62,
+            scenario: "x".to_string(),
+            records: Vec::new(),
+        };
+        let err = replay_trace(&t, PolicyId::UGache, None).unwrap_err();
+        assert!(err.contains("per-key counters"), "{err}");
     }
 
     #[test]

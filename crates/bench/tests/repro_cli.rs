@@ -592,6 +592,58 @@ fn record_and_replay_cli_round_trip_end_to_end() {
 }
 
 #[test]
+fn hostile_inputs_exit_3_instead_of_aborting() {
+    let exe = env!("CARGO_BIN_EXE_repro");
+    let dir = std::env::temp_dir().join(format!("repro-hostile-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &[&std::ffi::OsStr]| {
+        let out = std::process::Command::new(exe)
+            .args(args)
+            .output()
+            .expect("repro runs");
+        assert!(!out.stderr.is_empty(), "an error message is printed");
+        out.status.code()
+    };
+    // An empty UGTR trace (unnamed) with the given header fields.
+    let ugtr = |num_gpus: u32, num_keys: u64| {
+        let mut b = b"UGTR".to_vec();
+        b.extend_from_slice(&emb_workload::trace::TRACE_VERSION.to_le_bytes());
+        b.extend_from_slice(&1u64.to_le_bytes());
+        b.extend_from_slice(&num_gpus.to_le_bytes());
+        b.extend_from_slice(&num_keys.to_le_bytes());
+        b.extend_from_slice(&0u32.to_le_bytes()); // record_count
+        b.extend_from_slice(&0u32.to_le_bytes()); // name_len
+        b
+    };
+
+    // 2^32 - 1 key lists announced in one empty-payload record.
+    let mut gpus = ugtr(u32::MAX, 100);
+    gpus[28..32].copy_from_slice(&1u32.to_le_bytes());
+    gpus.extend_from_slice(&0u32.to_le_bytes());
+    let gpus_path = dir.join("gpus.trace");
+    std::fs::write(&gpus_path, gpus).unwrap();
+    assert_eq!(run(&["replay".as_ref(), gpus_path.as_os_str()]), Some(3));
+
+    // A zero-record trace over a 2^40-key domain.
+    let keys_path = dir.join("keys.trace");
+    std::fs::write(&keys_path, ugtr(4, 1 << 40)).unwrap();
+    assert_eq!(run(&["replay".as_ref(), keys_path.as_os_str()]), Some(3));
+
+    // 200 000 nested arrays: a JSON error, not a stack overflow.
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000) + &"]".repeat(200_000)).unwrap();
+    let base = repo_root().join("baselines/BENCH_7.json");
+    assert_eq!(
+        run(&["compare".as_ref(), base.as_os_str(), deep.as_os_str()]),
+        Some(3)
+    );
+    assert_eq!(run(&["explain-tail".as_ref(), deep.as_os_str()]), Some(3));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn check_dir_schema_refuses_stale_artifacts() {
     let s = tiny();
     let dir = std::env::temp_dir().join(format!("repro-schema-test-{}", std::process::id()));

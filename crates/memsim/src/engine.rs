@@ -19,7 +19,6 @@
 //! results and telemetry.
 
 use crate::bandwidth::{effective_bw, CongestionModel};
-use crate::trace::{ExtractionTrace, TraceEvent};
 use emb_util::{split_seed, SimTime};
 use gpu_platform::{
     DedicationConfig, Interconnect, Location, PathKind, PathSpec, Platform, Profile,
@@ -230,18 +229,7 @@ pub fn simulate(
     works: &[GpuWork],
     mode: DispatchMode,
 ) -> ExtractionResult {
-    run(platform, cfg, works, mode, false).0
-}
-
-/// Like [`simulate`], but also records a per-chunk execution trace
-/// (who read what, when) for schedule visualization and analysis.
-pub fn simulate_traced(
-    platform: &Platform,
-    cfg: &SimConfig,
-    works: &[GpuWork],
-    mode: DispatchMode,
-) -> (ExtractionResult, ExtractionTrace) {
-    run(platform, cfg, works, mode, true)
+    run(platform, cfg, works, mode)
 }
 
 /// Merges demands, builds groups/cores/queues for one extraction call.
@@ -498,8 +486,7 @@ fn run(
     cfg: &SimConfig,
     works: &[GpuWork],
     mode: DispatchMode,
-    record: bool,
-) -> (ExtractionResult, ExtractionTrace) {
+) -> ExtractionResult {
     let SimState {
         mut groups,
         gpu_groups,
@@ -508,12 +495,10 @@ fn run(
     } = build_state(platform, cfg, works, mode);
 
     // Initial assignment.
-    let mut job_start = vec![0.0f64; cores.len()];
     for ci in 0..cores.len() {
         let job = dispatch(cfg, &gpu_groups, &mut groups, &mut queues, &cores[ci]);
         cores[ci].job = job;
     }
-    let mut trace = ExtractionTrace::default();
 
     let total_chunks: u64 = groups
         .iter()
@@ -749,15 +734,6 @@ fn run(
             let rem = rem - r * dt;
             if rem <= 1e-6 {
                 gpu_finish[gpu] = now;
-                if record {
-                    trace.events.push(TraceEvent {
-                        gpu,
-                        core: cores[ci].local_idx,
-                        src: g.src,
-                        start: job_start[ci],
-                        end: now,
-                    });
-                }
                 finished.push(ci);
             } else {
                 cores[ci].job = Some((gi, rem));
@@ -783,7 +759,6 @@ fn run(
             let job = dispatch(cfg, &gpu_groups, &mut groups, &mut queues, &cores[ci]);
             if let Some((gi, _)) = job {
                 cores[ci].job = job;
-                job_start[ci] = now;
                 groups[gi].active += 1;
                 gpu_busy[cores[ci].gpu] += 1;
                 joined.push(ci);
@@ -802,7 +777,6 @@ fn run(
                 let job = dispatch(cfg, &gpu_groups, &mut groups, &mut queues, &cores[ci]);
                 if let Some((gi, _)) = job {
                     cores[ci].job = job;
-                    job_start[ci] = now;
                     groups[gi].active += 1;
                     gpu_busy[cores[ci].gpu] += 1;
                     joined.push(ci);
@@ -865,7 +839,7 @@ fn run(
         }
     }
 
-    let result = finalize(
+    finalize(
         platform,
         cfg,
         works,
@@ -878,8 +852,7 @@ fn run(
         egress_caps,
         spans_on,
         base_ns,
-    );
-    (result, trace)
+    )
 }
 
 /// Assembles the [`ExtractionResult`], records telemetry counters, emits

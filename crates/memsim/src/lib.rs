@@ -30,12 +30,10 @@ pub mod bandwidth;
 pub mod engine;
 pub mod microbench;
 pub mod reference;
-pub mod trace;
 
 pub use bandwidth::{effective_bw, CongestionModel};
 pub use engine::{
-    simulate, simulate_traced, DispatchMode, ExtractionResult, GpuExtraction, GpuWork, LinkUse,
-    SimConfig, SourceDemand,
+    simulate, DispatchMode, ExtractionResult, GpuExtraction, GpuWork, LinkUse, SimConfig,
+    SourceDemand,
 };
-pub use reference::{simulate_reference, simulate_reference_traced};
-pub use trace::{ExtractionTrace, TraceEvent};
+pub use reference::simulate_reference;

@@ -8,7 +8,7 @@
 //! state construction, dispatch discipline, span emission and result
 //! assembly with the optimized engine (those were not the slow part), so
 //! the two differ only in the per-step bookkeeping — which is the claim
-//! the differential tests pin down: bit-identical results, traces and
+//! the differential tests pin down: bit-identical results and
 //! telemetry. Do not "improve" this loop; its value is being the fixed
 //! yardstick the incremental loop is compared against.
 
@@ -17,7 +17,6 @@ use crate::engine::{
     build_state, dispatch, emit_stall_span, emit_xfer_span, finalize, DispatchMode,
     ExtractionResult, GpuWork, OpenStall, OpenXfer, SimConfig, SimState,
 };
-use crate::trace::{ExtractionTrace, TraceEvent};
 use gpu_platform::{Interconnect, Location, Platform};
 
 /// [`crate::simulate`] with the original per-step-rescan event loop.
@@ -32,21 +31,7 @@ pub fn simulate_reference(
     works: &[GpuWork],
     mode: DispatchMode,
 ) -> ExtractionResult {
-    run_reference(platform, cfg, works, mode, false).0
-}
-
-/// [`crate::simulate_traced`] with the original event loop.
-///
-/// # Panics
-///
-/// Panics on the same inputs as [`simulate_reference`].
-pub fn simulate_reference_traced(
-    platform: &Platform,
-    cfg: &SimConfig,
-    works: &[GpuWork],
-    mode: DispatchMode,
-) -> (ExtractionResult, ExtractionTrace) {
-    run_reference(platform, cfg, works, mode, true)
+    run_reference(platform, cfg, works, mode)
 }
 
 fn run_reference(
@@ -54,8 +39,7 @@ fn run_reference(
     cfg: &SimConfig,
     works: &[GpuWork],
     mode: DispatchMode,
-    record: bool,
-) -> (ExtractionResult, ExtractionTrace) {
+) -> ExtractionResult {
     let SimState {
         mut groups,
         gpu_groups,
@@ -64,12 +48,10 @@ fn run_reference(
     } = build_state(platform, cfg, works, mode);
 
     // Initial assignment.
-    let mut job_start = vec![0.0f64; cores.len()];
     for ci in 0..cores.len() {
         let job = dispatch(cfg, &gpu_groups, &mut groups, &mut queues, &cores[ci]);
         cores[ci].job = job;
     }
-    let mut trace = ExtractionTrace::default();
 
     let total_chunks: u64 = groups
         .iter()
@@ -264,31 +246,18 @@ fn run_reference(
                 *rem -= r * dt;
                 if *rem <= 1e-6 {
                     gpu_finish[c.gpu] = now;
-                    if record {
-                        trace.events.push(TraceEvent {
-                            gpu: c.gpu,
-                            core: c.local_idx,
-                            src: groups[*gi].src,
-                            start: job_start[ci],
-                            end: now,
-                        });
-                    }
                     finished.push(ci);
                 }
             }
         }
         for ci in finished {
             cores[ci].job = dispatch(cfg, &gpu_groups, &mut groups, &mut queues, &cores[ci]);
-            job_start[ci] = now;
         }
         // Idle cores may become eligible again (e.g. the no-padding
         // ablation releases local work once non-local groups drain).
         for ci in 0..cores.len() {
             if cores[ci].job.is_none() {
                 cores[ci].job = dispatch(cfg, &gpu_groups, &mut groups, &mut queues, &cores[ci]);
-                if cores[ci].job.is_some() {
-                    job_start[ci] = now;
-                }
             }
         }
     }
@@ -313,7 +282,7 @@ fn run_reference(
         }
     }
 
-    let result = finalize(
+    finalize(
         platform,
         cfg,
         works,
@@ -326,6 +295,5 @@ fn run_reference(
         egress_caps,
         spans_on,
         base_ns,
-    );
-    (result, trace)
+    )
 }

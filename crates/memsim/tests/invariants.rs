@@ -2,9 +2,7 @@
 //! monotonicity and mechanism orderings on randomized demand mixes.
 
 use emb_util::SimTime;
-use gpu_memsim::{
-    simulate, simulate_traced, CongestionModel, DispatchMode, GpuWork, SimConfig, SourceDemand,
-};
+use gpu_memsim::{simulate, CongestionModel, DispatchMode, GpuWork, SimConfig, SourceDemand};
 use gpu_platform::{DedicationConfig, Location, Platform};
 use proptest::prelude::*;
 
@@ -127,23 +125,4 @@ proptest! {
         prop_assert!(real.makespan >= ideal.makespan);
     }
 
-    /// Traced and untraced runs agree exactly.
-    #[test]
-    fn trace_does_not_perturb(
-        local in 0.1f64..3.0,
-        host in 0.1f64..1.0,
-        seed in 0u64..20,
-    ) {
-        let plat = Platform::server_a();
-        let works = works_for(&plat, local * 1e6, local * 0.5e6, host * 1e6);
-        let mode = DispatchMode::RandomShared { seed };
-        let plain = simulate(&plat, &cfg(), &works, mode);
-        let (traced, trace) = simulate_traced(&plat, &cfg(), &works, mode);
-        prop_assert_eq!(plain.makespan, traced.makespan);
-        // Trace busy time never exceeds cores × makespan.
-        for gpu in 0..plat.num_gpus() {
-            let u = trace.core_utilization(gpu, plat.gpus[gpu].sm_count);
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&u));
-        }
-    }
 }

@@ -76,6 +76,12 @@ pub enum TraceError {
         /// How many.
         extra: usize,
     },
+    /// The header's `num_keys` exceeds 2^32, a domain no `u32` key can
+    /// span.
+    DomainTooLarge {
+        /// The stamped domain size.
+        num_keys: u64,
+    },
     /// A key is not below the header's `num_keys` domain.
     KeyOutOfDomain {
         /// Zero-based record index.
@@ -105,6 +111,9 @@ impl std::fmt::Display for TraceError {
             }
             TraceError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing byte(s) after the last record")
+            }
+            TraceError::DomainTooLarge { num_keys } => {
+                write!(f, "key domain {num_keys} exceeds the u32 key space (2^32)")
             }
             TraceError::KeyOutOfDomain { record, key } => {
                 write!(f, "record {record}: key {key} outside the stamped domain")
@@ -146,6 +155,13 @@ impl<'a> Reader<'a> {
         let s = &self.bytes[self.pos..end];
         self.pos = end;
         Ok(s)
+    }
+
+    /// Upper bound on how many length-prefixed items (each at least 4
+    /// bytes) the rest of the buffer can hold: caps preallocation so a
+    /// hostile count cannot request more memory than the input backs.
+    fn max_items(&self) -> usize {
+        (self.bytes.len() - self.pos) / 4
     }
 
     fn u32(&mut self, context: &'static str) -> Result<u32, TraceError> {
@@ -240,17 +256,20 @@ impl Trace {
         let seed = r.u64("seed")?;
         let num_gpus = r.u32("num_gpus")?;
         let num_keys = r.u64("num_keys")?;
+        if num_keys > 1 << 32 {
+            return Err(TraceError::DomainTooLarge { num_keys });
+        }
         let record_count = r.u32("record_count")? as usize;
         let name_len = r.u32("name_len")? as usize;
         let name = r.take(name_len, "scenario name")?;
         let scenario = std::str::from_utf8(name)
             .map_err(|_| TraceError::BadName)?
             .to_string();
-        let mut records = Vec::with_capacity(record_count.min(1 << 20));
+        let mut records = Vec::with_capacity(record_count.min(r.max_items()));
         for record in 0..record_count {
             let payload_len = r.u32("record payload length")? as usize;
             let start = r.pos;
-            let mut lists = Vec::with_capacity(num_gpus as usize);
+            let mut lists = Vec::with_capacity((num_gpus as usize).min(r.max_items()));
             for _ in 0..num_gpus {
                 let count = r.u32("key count")? as usize;
                 let raw = r.take(4 * count, "keys")?;
@@ -377,6 +396,44 @@ mod tests {
                 key: 100
             })
         );
+    }
+
+    /// An empty trace's bytes with the given header fields.
+    fn header(num_gpus: u32, num_keys: u64) -> Vec<u8> {
+        Trace {
+            seed: 1,
+            num_gpus,
+            num_keys,
+            scenario: String::new(),
+            records: Vec::new(),
+        }
+        .to_bytes()
+    }
+
+    #[test]
+    fn hostile_gpu_count_errors_instead_of_allocating() {
+        // 2^32 - 1 key lists announced, one record with an empty payload:
+        // the reader must run out of bytes, not ask for ~100 GB.
+        let mut bytes = header(u32::MAX, 100);
+        bytes[28..32].copy_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(bytes.len(), 40);
+        assert_eq!(
+            Trace::from_bytes(&bytes),
+            Err(TraceError::Truncated {
+                context: "key count"
+            })
+        );
+    }
+
+    #[test]
+    fn key_domain_beyond_u32_is_rejected() {
+        assert_eq!(
+            Trace::from_bytes(&header(1, 1 << 40)),
+            Err(TraceError::DomainTooLarge { num_keys: 1 << 40 })
+        );
+        // 2^32 is the largest domain `u32` keys can fill.
+        assert!(Trace::from_bytes(&header(1, 1 << 32)).is_ok());
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Extraction schedule visualization: run one factored extraction and one
-//! naive-peer extraction through the traced simulator and render the
-//! per-source core occupancy over time — the live version of the paper's
-//! Figure 8 schedule sketch.
+//! naive-peer extraction under a telemetry scope and render GPU0's
+//! per-link busy series from the simulator's `xfer` spans — the live
+//! version of the paper's Figure 8 schedule sketch.
 //!
 //! Run with: `cargo run --release --example extraction_trace`
 
 use cache_policy::{baselines, Hotness};
 use emb_util::zipf::powerlaw_hotness;
 use emb_util::{seed_rng, SimTime, ZipfSampler};
-use gpu_memsim::{simulate_traced, DispatchMode, GpuWork, SimConfig, SourceDemand};
-use gpu_platform::{DedicationConfig, Location, Platform};
+use gpu_memsim::{simulate, DispatchMode, GpuWork, SimConfig, SourceDemand};
+use gpu_platform::{DedicationConfig, Platform};
+use ugache_bench::timeline;
 
 fn main() {
     let plat = Platform::server_a();
@@ -41,10 +42,6 @@ fn main() {
         launch_overhead: SimTime::ZERO,
         ..SimConfig::default()
     };
-    let sources: Vec<Location> = (0..plat.num_gpus())
-        .map(Location::Gpu)
-        .chain([Location::Host])
-        .collect();
 
     for (label, mode) in [
         (
@@ -58,23 +55,30 @@ fn main() {
             DispatchMode::RandomShared { seed: 5 },
         ),
     ] {
-        let (result, trace) = simulate_traced(&plat, &cfg, &works, mode);
+        let (result, report) = emb_telemetry::collect(|| simulate(&plat, &cfg, &works, mode));
+        let tl = timeline::from_report(&report);
         println!("\n=== {label} ===");
+        println!("makespan {}", result.makespan);
         println!(
-            "makespan {} | GPU0 core utilization {:.1}%",
-            result.makespan,
-            trace.core_utilization(0, plat.gpus[0].sm_count) * 100.0
+            "GPU0 link occupancy over time ({} buckets; density = busy fraction):",
+            timeline::SERIES_BUCKETS
         );
-        println!(
-            "GPU0 core occupancy by source over time (rows: sources; density = active cores):"
-        );
-        print!(
-            "{}",
-            trace.render_occupancy(0, &sources, 72, plat.gpus[0].sm_count)
-        );
-        println!("core-seconds per source on GPU0:");
-        for (src, busy) in trace.busy_per_source(0) {
-            println!("  {:>5}: {:.3} ms·core", src.to_string(), busy * 1e3);
+        let glyphs = [' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
+        for t in tl
+            .tracks
+            .iter()
+            .filter(|t| t.track.starts_with("gpu0/link:"))
+        {
+            let row: String = t
+                .series
+                .iter()
+                .map(|&v| glyphs[(v * (glyphs.len() - 1) as f64).ceil() as usize])
+                .collect();
+            println!(
+                "  {:<28} |{row}| busy {:>5.1}%",
+                t.track,
+                t.utilization * 100.0
+            );
         }
     }
 }
