@@ -1,67 +1,13 @@
-//! `repro` — regenerates every table and figure of the UGache paper.
+//! `repro` — regenerates every table and figure of the UGache paper and
+//! drives the tooling around them: artifact diff and regression gates,
+//! the wall-clock microbenches, the scenario registry, access-trace
+//! record/replay and tail-latency explanation.
 //!
-//! Usage:
-//! ```text
-//! repro [--full] [--jobs N] [--threads N] [--trace OUT.jsonl] [--chrome-trace OUT.json] <target>...
-//! repro [--full] [--jobs N] [--threads N] [...] --json --out DIR <target>...
-//! repro profile [--full] [--jobs N] [--threads N] <target>...
-//! repro diff <dir-a> <dir-b>
-//! repro compare <baseline-dir> <new-dir>
-//! repro compare <baseline-bench.json> <new-bench.json>
-//! repro bench [--trials N] [--warmup N] [--out FILE] [NAME...]
-//! repro check-trace <trace.json>
-//! repro scenarios [--md | --check [--file PATH]]
-//! repro metrics [--md | --check [--file PATH]]
-//! repro record <scenario> --out TRACE [--iters N] [--full] [--threads N]
-//! repro replay TRACE [--policy P] [--platform PL] [--out FILE] [--threads N]
-//! repro explain-tail <serve.json | scenario> [--out FILE] [--full] [--threads N]
-//! repro list
-//! repro all
-//! ```
-//!
-//! Targets: table1 table3 fig2 fig4 fig6 fig8 fig9 fig10 fig11 fig12
-//! fig13 fig14 fig15 fig16 fig17 hotness serve. `--full` uses larger scaled
-//! datasets (slower, smoother series); `--gnn-scale=N` / `--dlr-scale=N`
-//! override the dataset scale divisors explicitly. `--jobs N` computes
-//! targets on N worker threads; output order and artifact bytes are
-//! identical to a serial run. `--threads N` sets the intra-target
-//! worker-pool width (gather passes, workload generation, per-block LP
-//! solves); artifacts, traces, and chrome traces are byte-identical at
-//! every width (defaults to 1, or the `REPRO_THREADS` env var when the
-//! flag is absent). `--json --out DIR` writes one
-//! stable-schema JSON artifact per target instead of pretty-printing
-//! (each carries telemetry `metrics` and span-derived `timeline`
-//! blocks); `--trace OUT.jsonl` additionally writes the ordered
-//! telemetry event stream, one JSON object per line, and
-//! `--chrome-trace OUT.json` the simulated-time spans in Chrome
-//! trace-event format (load in `chrome://tracing` or Perfetto; see
-//! EXPERIMENTS.md for both schemas). `repro profile` prints each
-//! target's top time consumers and per-GPU stall breakdown instead of
-//! the figure. `repro diff` structurally compares two artifact
-//! directories; `repro compare` gates a fresh directory against a
-//! baseline using per-metric tolerances (non-zero exit on regression);
-//! `repro check-trace` validates a Chrome trace file structurally.
-//! `repro scenarios` lists the scenario registry (`--md` renders the
-//! SCENARIOS.md catalog, `--check` gates the committed file against the
-//! registry); `repro record` captures a registered scenario's access
-//! stream to a UGTR trace and `repro replay` replays a trace under any
-//! policy on any platform (see EXPERIMENTS.md, "Scenario registry and
-//! access traces", for the wire format and exit codes).
-//! `repro metrics` lists the central metric-name catalog (`--md`
-//! renders the METRICS.md content, `--check` gates the committed file
-//! and the catalog's two-direction coverage against a fresh quick run
-//! of every target). `repro explain-tail` reconstructs the top-K tail
-//! requests of a serve run — from a schema-v5 `serve.json` artifact or
-//! a fresh in-process run of the serving scenario — attributing each
-//! latency exactly across queue/batch-wait/extract-tier, and writes the
-//! deterministic JSON report with `--out` (exit 3 on unusable input;
-//! see EXPERIMENTS.md, "Explaining the latency tail").
-//! `repro bench` times the optimized hot paths against their frozen
-//! reference implementations (wall clock; simulated results are
-//! asserted identical) and writes a `BENCH_*.json` report with `--out`;
-//! pointing `repro compare` at two such `.json` files applies the soft
-//! wall-clock gate instead of the artifact tolerance table.
+//! `repro list` prints the targets and every subcommand's usage line;
+//! EXPERIMENTS.md documents what each one does and its exit codes (0
+//! success, 1 a gate failed, 2 usage or IO error, 3 unusable input).
 
+use std::path::Path;
 use ugache_bench::artifact::{
     check_dir_schema, diff_dirs, trace_header, trace_line, Artifact, TargetData,
 };
@@ -74,141 +20,50 @@ use ugache_bench::{
     timeline, Scenario,
 };
 
+/// Why a command failed; each kind has its documented exit code.
+enum Fail {
+    /// A gate tripped (drift, regression, structural errors): exit 1.
+    Gate(String),
+    /// Bad usage or an IO failure: exit 2.
+    Usage(String),
+    /// The input could not be used at all: exit 3.
+    Input(String),
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = match cli::parse(&args) {
-        Ok(cmd) => cmd,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
+    let result = cli::parse(&args).map_err(Fail::Usage).and_then(|cmd| {
+        emb_util::pool::set_threads(cmd.threads());
+        execute(cmd)
+    });
+    let (code, msg) = match result {
+        Ok(()) => return,
+        Err(Fail::Gate(msg)) => (1, msg),
+        Err(Fail::Usage(msg)) => (2, msg),
+        Err(Fail::Input(msg)) => (3, msg),
     };
+    eprintln!("{msg}");
+    std::process::exit(code);
+}
+
+fn execute(cmd: Command) -> Result<(), Fail> {
     match cmd {
         Command::List => {
             println!("targets: {} | all", cli::TARGETS.join(" "));
-            println!(
-                "usage: repro [--full] [--jobs N] [--threads N] [--trace OUT.jsonl] \
-                 [--chrome-trace OUT.json] [--json --out DIR] <target>... (or: repro all)"
-            );
-            println!("       repro profile [--full] [--jobs N] [--threads N] <target>...");
-            println!("       repro diff <dir-a> <dir-b>");
-            println!("       repro compare <baseline-dir> <new-dir>");
-            println!("       repro compare <baseline-bench.json> <new-bench.json>");
-            println!(
-                "       repro bench [--trials N] [--warmup N] [--out FILE] [{}]",
-                microbench::BENCH_NAMES.join("|")
-            );
-            println!("       repro check-trace <trace.json>");
-            println!("       repro scenarios [--md | --check [--file PATH]]");
-            println!(
-                "       repro record <scenario> --out TRACE [--iters N] [--full] [--threads N]"
-            );
-            println!(
-                "       repro replay TRACE [--policy P] [--platform PL] [--out FILE] [--threads N]"
-            );
-            println!("       repro metrics [--md | --check [--file PATH]]");
-            println!(
-                "       repro explain-tail <serve.json | scenario> [--out FILE] [--full] \
-                 [--threads N]"
-            );
+            println!("benches: {}", microbench::BENCH_NAMES.join(" "));
+            for (i, line) in cli::usage().enumerate() {
+                println!("{} {line}", if i == 0 { "usage:" } else { "      " });
+            }
         }
         Command::Diff { a, b } => {
-            let diffs = match diff_dirs(&a, &b) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("diff failed: {e}");
-                    std::process::exit(2);
-                }
-            };
-            if diffs.is_empty() {
-                println!("artifact directories are identical");
-            } else {
-                for d in &diffs {
-                    println!("{d}");
-                }
-                std::process::exit(1);
-            }
+            let diffs = diff_dirs(&a, &b).map_err(|e| Fail::Usage(format!("diff failed: {e}")))?;
+            gate(&diffs, "artifact difference(s)")?;
+            println!("artifact directories are identical");
         }
-        Command::Compare { baseline, new } => {
-            // Two `.json` files = bench reports (soft wall-clock gate);
-            // anything else = artifact directories (tolerance table).
-            let bench_mode = baseline.extension().is_some_and(|e| e == "json")
-                && new.extension().is_some_and(|e| e == "json");
-            if bench_mode {
-                let (warnings, failures) = match microbench::compare_files(&baseline, &new) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        // Exit 3: the inputs could not be compared at all
-                        // (unreadable file, bad JSON, wrong kind/schema) —
-                        // distinct from exit 1, a genuine gate failure.
-                        eprintln!("bench compare inputs unusable: {e}");
-                        std::process::exit(3);
-                    }
-                };
-                for w in &warnings {
-                    println!("{w}");
-                }
-                if failures.is_empty() {
-                    println!(
-                        "no large wall-clock regressions against {} (soft gate; \
-                         see EXPERIMENTS.md)",
-                        baseline.display()
-                    );
-                } else {
-                    for f in &failures {
-                        println!("{f}");
-                    }
-                    eprintln!("{} large wall-clock regression(s)", failures.len());
-                    std::process::exit(1);
-                }
-                return;
-            }
-            let failures = match compare::compare_dirs(&baseline, &new) {
-                Ok(f) => f,
-                Err(e) => {
-                    // Exit 3: inputs unusable (see the bench branch above).
-                    eprintln!("compare inputs unusable: {e}");
-                    std::process::exit(3);
-                }
-            };
-            if failures.is_empty() {
-                println!(
-                    "no regressions against {} (tolerances in EXPERIMENTS.md)",
-                    baseline.display()
-                );
-            } else {
-                for f in &failures {
-                    println!("{f}");
-                }
-                eprintln!("{} regression(s) beyond tolerance", failures.len());
-                std::process::exit(1);
-            }
-        }
+        Command::Compare { baseline, new } => compare(&baseline, &new)?,
         Command::CheckTrace { path } => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            };
-            let value = match json::parse(&text) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("{} is not valid JSON: {e}", path.display());
-                    std::process::exit(2);
-                }
-            };
-            let errors = chrome::validate(&value);
-            if errors.is_empty() {
-                println!("{}: structurally valid chrome trace", path.display());
-            } else {
-                for e in &errors {
-                    println!("{e}");
-                }
-                eprintln!("{} structural error(s)", errors.len());
-                std::process::exit(1);
-            }
+            gate(&chrome::validate(&read_json(&path)?), "structural error(s)")?;
+            println!("{}: structurally valid chrome trace", path.display());
         }
         Command::Bench {
             names,
@@ -216,41 +71,18 @@ fn main() {
             warmup,
             out,
         } => {
-            let report = match microbench::run_benches(&names, trials, warmup) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            };
+            let report = microbench::run_benches(&names, trials, warmup).map_err(Fail::Usage)?;
             microbench::render(&report);
             if let Some(path) = out.as_deref() {
-                let mut text = json::to_string_pretty(&report).expect("bench report serializes");
-                text.push('\n');
-                match std::fs::write(path, text) {
-                    Ok(()) => println!("wrote {}", path.display()),
-                    Err(e) => {
-                        eprintln!("failed to write bench report {}: {e}", path.display());
-                        std::process::exit(2);
-                    }
-                }
+                write_report(path, pretty_json(&report), "")?;
             }
         }
         Command::Scenarios { md, check, file } => {
             if md {
                 print!("{}", catalog::render_markdown(registry()));
             } else if check {
-                let committed = match std::fs::read_to_string(&file) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("cannot read {}: {e}", file.display());
-                        std::process::exit(2);
-                    }
-                };
-                if let Err(drift) = catalog::check(registry(), &committed) {
-                    eprintln!("{drift}");
-                    std::process::exit(1);
-                }
+                let committed = std::fs::read_to_string(&file).map_err(cannot_read(&file))?;
+                catalog::check(registry(), &committed).map_err(Fail::Gate)?;
                 println!("{} matches the registry", file.display());
             } else {
                 for def in registry().defs() {
@@ -272,24 +104,12 @@ fn main() {
             if md {
                 print!("{}", metrics_catalog::render_markdown());
             } else if check {
-                let committed = match std::fs::read_to_string(&file) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("cannot read {}: {e}", file.display());
-                        std::process::exit(2);
-                    }
-                };
-                if let Err(drift) = metrics_catalog::check_file(&committed) {
-                    eprintln!("{drift}");
-                    std::process::exit(1);
-                }
+                let committed = std::fs::read_to_string(&file).map_err(cannot_read(&file))?;
+                metrics_catalog::check_file(&committed).map_err(Fail::Gate)?;
                 let recorded = metrics_catalog::recorded_names();
                 let drift = metrics_catalog::check_coverage(&recorded);
                 if !drift.is_empty() {
-                    for d in &drift {
-                        eprintln!("{d}");
-                    }
-                    std::process::exit(1);
+                    return Err(Fail::Gate(drift.join("\n")));
                 }
                 println!(
                     "{} matches the catalog; {} recorded names covered",
@@ -308,137 +128,38 @@ fn main() {
             }
         }
         Command::ExplainTail {
-            input,
-            out,
-            knobs,
-            threads,
-        } => {
-            if let Err(msg) = set_pool_width(threads) {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-            let report = if let Some(def) = registry().get(&input) {
-                // Registered scenario: compute the serve target fresh
-                // in-process and read the exemplars off the live
-                // telemetry snapshot.
-                if !matches!(def.workload, WorkloadSpec::ServeZipf) {
-                    eprintln!(
-                        "scenario `{input}` is not the serving scenario; explain-tail \
-                         reconstructs serve runs (see `repro scenarios`)"
-                    );
-                    std::process::exit(2);
-                }
-                let unit = Unit::for_target("serve").expect("serve is a target");
-                let result = unit.compute_with_telemetry(&knobs);
-                match explain::report_from_snapshot(&result.telemetry.metrics) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("explain-tail failed for scenario {input}: {e}");
-                        std::process::exit(3);
-                    }
-                }
-            } else {
-                let text = match std::fs::read_to_string(&input) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!(
-                            "cannot read {input}: {e} (pass a serve artifact or a \
-                             registered scenario name; see `repro scenarios`)"
-                        );
-                        std::process::exit(2);
-                    }
-                };
-                let value = match json::parse(&text) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        // Exit 3: the artifact itself is unusable,
-                        // distinct from exit 2 usage/IO errors.
-                        eprintln!("{input} is not valid JSON: {e}");
-                        std::process::exit(3);
-                    }
-                };
-                match explain::report_from_artifact(&value) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("{input}: {e}");
-                        std::process::exit(3);
-                    }
-                }
-            };
-            explain::render(&report);
-            if let Some(path) = out.as_deref() {
-                match std::fs::write(path, explain::to_json(&report)) {
-                    Ok(()) => println!("wrote {}", path.display()),
-                    Err(e) => {
-                        eprintln!("failed to write explain report {}: {e}", path.display());
-                        std::process::exit(2);
-                    }
-                }
-            }
-        }
+            input, out, knobs, ..
+        } => explain_tail(&input, out.as_deref(), &knobs)?,
         Command::Record {
             scenario,
             out,
             iters,
             knobs,
-            threads,
+            ..
         } => {
-            if let Err(msg) = set_pool_width(threads) {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
             let def = registry().get(&scenario).expect("validated by the CLI");
             let trace = replay::record_trace(def, &knobs, iters);
-            match std::fs::write(&out, trace.to_bytes()) {
-                Ok(()) => println!(
-                    "wrote {} ({} records, {} GPUs, {} keys of {})",
-                    out.display(),
-                    trace.records.len(),
-                    trace.num_gpus,
-                    trace.total_keys(),
-                    trace.num_keys
-                ),
-                Err(e) => {
-                    eprintln!("failed to write trace {}: {e}", out.display());
-                    std::process::exit(2);
-                }
-            }
+            let detail = format!(
+                " ({} records, {} GPUs, {} keys of {})",
+                trace.records.len(),
+                trace.num_gpus,
+                trace.total_keys(),
+                trace.num_keys
+            );
+            write_report(&out, trace.to_bytes(), &detail)?;
         }
         Command::Replay {
             trace,
             policy,
             platform,
             out,
-            threads,
+            ..
         } => {
-            if let Err(msg) = set_pool_width(threads) {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-            let bytes = match std::fs::read(&trace) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("cannot read {}: {e}", trace.display());
-                    std::process::exit(2);
-                }
-            };
-            let decoded = match emb_workload::Trace::from_bytes(&bytes) {
-                Ok(t) => t,
-                Err(e) => {
-                    // Exit 3: the trace itself is unusable (bad magic,
-                    // version mismatch, truncation, ...), distinct from
-                    // exit 2 usage/IO errors — see EXPERIMENTS.md.
-                    eprintln!("{}: {e}", trace.display());
-                    std::process::exit(3);
-                }
-            };
-            let report = match replay::replay_trace(&decoded, policy, platform) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("replay failed: {e}");
-                    std::process::exit(2);
-                }
-            };
+            let bytes = std::fs::read(&trace).map_err(cannot_read(&trace))?;
+            let decoded = emb_workload::Trace::from_bytes(&bytes)
+                .map_err(|e| Fail::Input(format!("{}: {e}", trace.display())))?;
+            let report = replay::replay_trace(&decoded, policy, platform)
+                .map_err(|e| Fail::Usage(format!("replay failed: {e}")))?;
             println!(
                 "replayed {}: {}, {} records on {} under {}",
                 trace.display(),
@@ -452,42 +173,113 @@ fn main() {
                 report.totals.local, report.totals.remote, report.totals.host
             );
             if let Some(path) = out.as_deref() {
-                let mut text = json::to_string_pretty(&report).expect("replay report serializes");
-                text.push('\n');
-                match std::fs::write(path, text) {
-                    Ok(()) => println!("wrote {}", path.display()),
-                    Err(e) => {
-                        eprintln!("failed to write replay report {}: {e}", path.display());
-                        std::process::exit(2);
-                    }
-                }
+                write_report(path, pretty_json(&report), "")?;
             }
         }
-        Command::Run(spec) => {
-            if let Err(msg) = set_pool_width(spec.threads) {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-            run(&spec);
-        }
+        Command::Run(spec) => run(&spec)?,
     }
-}
-
-/// Resolves the worker-pool width from the `--threads` flag and the
-/// `REPRO_THREADS` env var, then configures the pool.
-fn set_pool_width(flag: Option<usize>) -> Result<(), String> {
-    let env = std::env::var("REPRO_THREADS").ok();
-    let threads = cli::resolve_threads(flag, env.as_deref())?;
-    emb_util::pool::set_threads(threads);
     Ok(())
 }
 
-fn run(spec: &RunSpec) {
-    if let Some(dir) = spec.out.as_deref() {
-        if let Err(msg) = check_dir_schema(dir) {
-            eprintln!("{msg}");
-            std::process::exit(2);
+/// Prints each failure on stdout; any failure trips the gate.
+fn gate(failures: &[String], what: &str) -> Result<(), Fail> {
+    for f in failures {
+        println!("{f}");
+    }
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(Fail::Gate(format!("{} {what}", failures.len())))
+    }
+}
+
+fn cannot_read(path: &Path) -> impl FnOnce(std::io::Error) -> Fail + '_ {
+    move |e| Fail::Usage(format!("cannot read {}: {e}", path.display()))
+}
+
+/// Reads and parses a JSON file: an unreadable file is an IO error, text
+/// that is not JSON is unusable input.
+fn read_json(path: &Path) -> Result<json::Value, Fail> {
+    let text = std::fs::read_to_string(path).map_err(cannot_read(path))?;
+    json::parse(&text)
+        .map_err(|e| Fail::Input(format!("{} is not valid JSON: {e}", path.display())))
+}
+
+fn pretty_json(report: &impl serde::Serialize) -> String {
+    let mut text = json::to_string_pretty(report).expect("reports serialize");
+    text.push('\n');
+    text
+}
+
+/// Writes an output file and announces it (`wrote PATH` plus `detail`).
+fn write_report(path: &Path, contents: impl AsRef<[u8]>, detail: &str) -> Result<(), Fail> {
+    std::fs::write(path, contents)
+        .map_err(|e| Fail::Usage(format!("failed to write {}: {e}", path.display())))?;
+    println!("wrote {}{detail}", path.display());
+    Ok(())
+}
+
+fn compare(baseline: &Path, new: &Path) -> Result<(), Fail> {
+    // Two `.json` files = bench reports (soft wall-clock gate); anything
+    // else = artifact directories (tolerance table).
+    let is_json = |p: &Path| p.extension().is_some_and(|e| e == "json");
+    if is_json(baseline) && is_json(new) {
+        let (warnings, failures) = microbench::compare_files(baseline, new)
+            .map_err(|e| Fail::Input(format!("bench compare inputs unusable: {e}")))?;
+        for w in &warnings {
+            println!("{w}");
         }
+        gate(&failures, "large wall-clock regression(s)")?;
+        println!(
+            "no large wall-clock regressions against {} (soft gate; see EXPERIMENTS.md)",
+            baseline.display()
+        );
+    } else {
+        let failures = compare::compare_dirs(baseline, new)
+            .map_err(|e| Fail::Input(format!("compare inputs unusable: {e}")))?;
+        gate(&failures, "regression(s) beyond tolerance")?;
+        println!(
+            "no regressions against {} (tolerances in EXPERIMENTS.md)",
+            baseline.display()
+        );
+    }
+    Ok(())
+}
+
+fn explain_tail(input: &str, out: Option<&Path>, knobs: &Scenario) -> Result<(), Fail> {
+    let report = if let Some(def) = registry().get(input) {
+        // Registered scenario: compute the serve target fresh in-process
+        // and read the exemplars off the live telemetry snapshot.
+        if !matches!(def.workload, WorkloadSpec::ServeZipf) {
+            return Err(Fail::Usage(format!(
+                "scenario `{input}` is not the serving scenario; explain-tail \
+                 reconstructs serve runs (see `repro scenarios`)"
+            )));
+        }
+        let unit = Unit::for_target("serve").expect("serve is a target");
+        let result = unit.compute_with_telemetry(knobs);
+        explain::report_from_snapshot(&result.telemetry.metrics)
+            .map_err(|e| Fail::Input(format!("explain-tail failed for scenario {input}: {e}")))?
+    } else {
+        let value = read_json(Path::new(input)).map_err(|fail| match fail {
+            Fail::Usage(msg) => Fail::Usage(format!(
+                "{msg} (pass a serve artifact or a registered scenario name; \
+                 see `repro scenarios`)"
+            )),
+            fail => fail,
+        })?;
+        explain::report_from_artifact(&value).map_err(|e| Fail::Input(format!("{input}: {e}")))?
+    };
+    explain::render(&report);
+    if let Some(path) = out {
+        write_report(path, explain::to_json(&report), "")?;
+    }
+    Ok(())
+}
+
+fn run(spec: &RunSpec) -> Result<(), Fail> {
+    if let Some(dir) = spec.out.as_deref() {
+        check_dir_schema(dir).map_err(Fail::Usage)?;
     }
     let units = units_for(&spec.targets);
     let results = run_units(&spec.scenario, &units, spec.jobs);
@@ -512,13 +304,10 @@ fn run(spec: &RunSpec) {
                 Some(result.telemetry.metrics.clone()),
                 Some(timeline::from_report(&result.telemetry)),
             );
-            match artifact.write(dir) {
-                Ok(path) => println!("wrote {}", path.display()),
-                Err(e) => {
-                    eprintln!("failed to write artifact for {target}: {e}");
-                    std::process::exit(2);
-                }
-            }
+            let path = artifact
+                .write(dir)
+                .map_err(|e| Fail::Usage(format!("failed to write artifact for {target}: {e}")))?;
+            println!("wrote {}", path.display());
         } else {
             render(target, &spec.scenario, &result.data);
         }
@@ -529,13 +318,8 @@ fn run(spec: &RunSpec) {
             .iter()
             .map(|t| (t.as_str(), result_for(t)))
             .collect();
-        match write_trace(path, &spec.scenario, &per_target) {
-            Ok(lines) => println!("wrote {} ({lines} trace lines)", path.display()),
-            Err(e) => {
-                eprintln!("failed to write trace {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        }
+        let (text, lines) = trace_jsonl(&spec.scenario, &per_target);
+        write_report(path, text, &format!(" ({lines} trace lines)"))?;
     }
     if let Some(path) = spec.chrome_trace.as_deref() {
         let per_target: Vec<(&str, &emb_telemetry::Report)> = spec
@@ -545,24 +329,15 @@ fn run(spec: &RunSpec) {
             .collect();
         let mut rendered = chrome::chrome_trace(&per_target).render_compact();
         rendered.push('\n');
-        match std::fs::write(path, rendered) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write chrome trace {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        }
+        write_report(path, rendered, "")?;
     }
+    Ok(())
 }
 
-/// Writes the JSONL telemetry trace: a header line describing the run,
-/// then each target's events in requested-target order. Returns the
-/// number of event lines written.
-fn write_trace(
-    path: &std::path::Path,
-    scenario: &Scenario,
-    per_target: &[(&str, &UnitResult)],
-) -> std::io::Result<usize> {
+/// Renders the JSONL telemetry trace: a header line describing the run,
+/// then each target's events in requested-target order. Returns the text
+/// and the number of event lines.
+fn trace_jsonl(scenario: &Scenario, per_target: &[(&str, &UnitResult)]) -> (String, usize) {
     let mut out = String::new();
     out.push_str(&trace_header(scenario).render_compact());
     out.push('\n');
@@ -574,8 +349,7 @@ fn write_trace(
             lines += 1;
         }
     }
-    std::fs::write(path, out)?;
-    Ok(lines)
+    (out, lines)
 }
 
 fn render(target: &str, s: &Scenario, data: &TargetData) {

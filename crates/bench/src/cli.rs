@@ -2,9 +2,13 @@
 //!
 //! Kept in the library (rather than the binary) so CLI semantics —
 //! alias resolution, order-independent dedup, flag validation — are
-//! unit-testable without spawning processes.
+//! unit-testable without spawning processes. Each subcommand is one row
+//! of a table (its flags, positional arity, usage line and constructor);
+//! a single pass splits the arguments against that row.
 
 use crate::scenario::{registry, PlatformId, PolicyId, Scenario};
+use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
 
 /// Every target the `repro` CLI accepts, in canonical execution order.
@@ -26,10 +30,8 @@ pub struct RunSpec {
     pub out: Option<PathBuf>,
     /// Worker threads for computation (>= 1).
     pub jobs: usize,
-    /// Intra-target worker-pool width (`--threads N`, >= 1). `None`
-    /// means the flag was absent; the binary then falls back to the
-    /// `REPRO_THREADS` env var via [`resolve_threads`], defaulting to 1.
-    pub threads: Option<usize>,
+    /// Intra-target worker-pool width (`--threads N`, >= 1, default 1).
+    pub threads: usize,
     /// Telemetry event-trace output file (JSONL), if requested.
     pub trace: Option<PathBuf>,
     /// Chrome trace-event output file (JSON), if requested.
@@ -78,7 +80,7 @@ pub enum Command {
         out: Option<PathBuf>,
     },
     /// List registered scenarios, render the catalog, or gate it
-    /// (`repro scenarios [--md | --check [--file PATH]]`).
+    /// (`repro scenarios`).
     Scenarios {
         /// Print the generated `SCENARIOS.md` content instead of the
         /// one-line-per-scenario listing.
@@ -90,7 +92,7 @@ pub enum Command {
         file: PathBuf,
     },
     /// List the metric-name catalog, render it, or gate it against a
-    /// full quick run (`repro metrics [--md | --check [--file PATH]]`).
+    /// full quick run (`repro metrics`).
     Metrics {
         /// Print the generated `METRICS.md` content instead of the
         /// one-line-per-name listing.
@@ -111,8 +113,8 @@ pub enum Command {
         iters: Option<usize>,
         /// Scenario scale knobs after `--full` / explicit overrides.
         knobs: Scenario,
-        /// Worker-pool width (`--threads N`; see [`resolve_threads`]).
-        threads: Option<usize>,
+        /// Worker-pool width (`--threads N`, >= 1, default 1).
+        threads: usize,
     },
     /// Replay a trace under a policy on a platform.
     Replay {
@@ -125,11 +127,11 @@ pub enum Command {
         platform: Option<PlatformId>,
         /// Replay-report output path, if requested.
         out: Option<PathBuf>,
-        /// Worker-pool width (`--threads N`; see [`resolve_threads`]).
-        threads: Option<usize>,
+        /// Worker-pool width (`--threads N`, >= 1, default 1).
+        threads: usize,
     },
     /// Reconstruct the tail requests of a serve run (`repro
-    /// explain-tail <serve-artifact.json | scenario>`).
+    /// explain-tail`).
     ExplainTail {
         /// A schema-v5 `serve.json` artifact path, or a registered
         /// serving scenario name to compute fresh in-process (resolved
@@ -141,500 +143,387 @@ pub enum Command {
         /// Scenario scale knobs for the in-process path (`--full` /
         /// explicit overrides; ignored for artifact inputs).
         knobs: Scenario,
-        /// Worker-pool width (`--threads N`; see [`resolve_threads`]).
-        threads: Option<usize>,
+        /// Worker-pool width (`--threads N`, >= 1, default 1).
+        threads: usize,
     },
     /// Compute (and render or serialize) targets.
     Run(RunSpec),
 }
 
-fn parse_scale(name: &str, value: &str) -> Result<usize, String> {
-    value
-        .parse::<usize>()
-        .map(|v| v.max(1))
-        .map_err(|_| format!("--{name} expects an unsigned integer, got `{value}`"))
+impl Command {
+    /// The worker-pool width the command runs at: its `--threads` value,
+    /// or 1 for the subcommands without that flag.
+    pub fn threads(&self) -> usize {
+        match self {
+            Command::Run(spec) => spec.threads,
+            Command::Record { threads, .. }
+            | Command::Replay { threads, .. }
+            | Command::ExplainTail { threads, .. } => *threads,
+            _ => 1,
+        }
+    }
 }
 
-/// Parses `repro` arguments (without the program name).
-///
-/// Unknown `--flags` and unknown targets are hard errors. `fig15` is an
-/// alias for `fig14` (one combined module); duplicate targets are
-/// removed regardless of position, keeping the first occurrence.
-/// `--trace FILE` requests the telemetry event stream (JSONL) and
-/// `--chrome-trace FILE` the Chrome trace-event span export; both work
-/// with the render and `--json` output modes. The `profile`, `compare`,
-/// `check-trace`, and `bench` subcommands map to [`Command::Run`] with
-/// `profile` set, [`Command::Compare`], [`Command::CheckTrace`], and
-/// [`Command::Bench`] (`--trials N --warmup N --out FILE [NAME...]`).
-/// The scenario-registry subcommands map to [`Command::Scenarios`]
-/// (`scenarios [--md | --check [--file PATH]]`), [`Command::Metrics`]
-/// (`metrics [--md | --check [--file PATH]]`), [`Command::Record`]
-/// (`record <scenario> --out TRACE [--iters N]` plus the scale flags;
-/// unknown scenario names are parse errors), and [`Command::Replay`]
-/// (`replay TRACE [--policy P] [--platform PL] [--out FILE]`; unknown
-/// policy/platform names are parse errors). `explain-tail` maps to
-/// [`Command::ExplainTail`]
-/// (`explain-tail <serve.json | scenario> [--out FILE]` plus the scale
-/// flags; whether the input is a registered scenario or an artifact
-/// path is resolved at run time).
-///
-/// # Errors
-///
-/// Returns a human-readable message when the invocation is invalid; the
-/// binary prints it to stderr and exits non-zero.
-pub fn parse(args: &[String]) -> Result<Command, String> {
-    if args.first().map(String::as_str) == Some("diff") {
-        let rest = &args[1..];
-        if let Some(flag) = rest.iter().find(|a| a.starts_with("--")) {
-            return Err(format!("`repro diff` takes no flags, got `{flag}`"));
+/// A flag name (without the leading `--`) and whether it takes a value.
+type Flag = (&'static str, bool);
+
+/// The scenario scale knobs `--full`, `--gnn-scale N` and `--dlr-scale N`.
+const SCALE: &[Flag] = &[("full", false), ("gnn-scale", true), ("dlr-scale", true)];
+/// The intra-target worker-pool width.
+const THREADS: &[Flag] = &[("threads", true)];
+/// Where the command writes its output.
+const OUT: &[Flag] = &[("out", true)];
+/// The render, gate and gate-input flags of the two catalog subcommands.
+const CATALOG: &[Flag] = &[("md", false), ("check", false), ("file", true)];
+
+/// Any number of positional arguments.
+const ANY: RangeInclusive<usize> = 0..=usize::MAX;
+
+/// One row of the subcommand table.
+struct Subcommand {
+    /// The first argument that selects the row; empty for the default
+    /// target run.
+    name: &'static str,
+    /// Accepted flags, as groups.
+    flags: &'static [&'static [Flag]],
+    /// Accepted number of positional arguments.
+    positionals: RangeInclusive<usize>,
+    /// The row's line in `repro list`; it names every accepted flag.
+    usage: &'static str,
+    /// Builds the command from the split arguments.
+    build: fn(Args) -> Result<Command, String>,
+}
+
+impl Subcommand {
+    /// How the subcommand is invoked, for messages.
+    fn who(&self) -> String {
+        if self.name.is_empty() {
+            "repro".to_string()
+        } else {
+            format!("repro {}", self.name)
         }
-        if rest.len() != 2 {
-            return Err(format!(
-                "`repro diff` expects exactly two artifact directories, got {}",
-                rest.len()
-            ));
-        }
-        return Ok(Command::Diff {
-            a: PathBuf::from(&rest[0]),
-            b: PathBuf::from(&rest[1]),
-        });
     }
-    if args.first().map(String::as_str) == Some("compare") {
-        let rest = &args[1..];
-        if let Some(flag) = rest.iter().find(|a| a.starts_with("--")) {
-            return Err(format!("`repro compare` takes no flags, got `{flag}`"));
-        }
-        if rest.len() != 2 {
-            return Err(format!(
-                "`repro compare` expects BASELINE_DIR and NEW_DIR, got {} arguments",
-                rest.len()
-            ));
-        }
-        return Ok(Command::Compare {
-            baseline: PathBuf::from(&rest[0]),
-            new: PathBuf::from(&rest[1]),
-        });
-    }
-    if args.first().map(String::as_str) == Some("bench") {
-        let rest = &args[1..];
-        let mut trials = crate::microbench::DEFAULT_TRIALS;
-        let mut warmup = crate::microbench::DEFAULT_WARMUP;
-        let mut out: Option<PathBuf> = None;
-        let mut names: Vec<String> = Vec::new();
-        let mut i = 0;
-        while i < rest.len() {
-            let arg = &rest[i];
-            let mut value_of = |name: &str| -> Result<String, String> {
-                if let Some(v) = arg.strip_prefix(&format!("--{name}=")) {
-                    return Ok(v.to_string());
-                }
-                i += 1;
-                rest.get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("--{name} expects a value"))
-            };
-            match arg.as_str() {
-                a if a == "--trials" || a.starts_with("--trials=") => {
-                    trials = parse_scale("trials", &value_of("trials")?)?;
-                }
-                a if a == "--warmup" || a.starts_with("--warmup=") => {
-                    let v = value_of("warmup")?;
-                    warmup = v
-                        .parse::<usize>()
-                        .map_err(|_| format!("--warmup expects an unsigned integer, got `{v}`"))?;
-                }
-                a if a == "--out" || a.starts_with("--out=") => {
-                    out = Some(PathBuf::from(value_of("out")?));
-                }
-                a if a.starts_with("--") => {
-                    return Err(format!("unknown flag `{a}` for `repro bench`"));
-                }
-                _ => names.push(arg.clone()),
-            }
-            i += 1;
-        }
-        for n in &names {
-            if !crate::microbench::BENCH_NAMES.contains(&n.as_str()) {
+}
+
+const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand {
+        name: "",
+        flags: &[
+            SCALE,
+            THREADS,
+            OUT,
+            &[
+                ("json", false),
+                ("jobs", true),
+                ("trace", true),
+                ("chrome-trace", true),
+            ],
+        ],
+        positionals: ANY,
+        usage: "repro [--full] [--gnn-scale N] [--dlr-scale N] [--jobs N] [--threads N] \
+                [--trace OUT.jsonl] [--chrome-trace OUT.json] [--json --out DIR] \
+                <target>... (or: all, list)",
+        build: |a| run_spec(a, false),
+    },
+    Subcommand {
+        name: "profile",
+        flags: &[SCALE, THREADS, &[("jobs", true)]],
+        positionals: 1..=usize::MAX,
+        usage: "repro profile [--full] [--gnn-scale N] [--dlr-scale N] [--jobs N] [--threads N] \
+                <target>...",
+        build: |a| run_spec(a, true),
+    },
+    Subcommand {
+        name: "diff",
+        flags: &[],
+        positionals: 2..=2,
+        usage: "repro diff <dir-a> <dir-b>",
+        build: |a| {
+            Ok(Command::Diff {
+                a: a.path_at(0),
+                b: a.path_at(1),
+            })
+        },
+    },
+    Subcommand {
+        name: "compare",
+        flags: &[],
+        positionals: 2..=2,
+        usage: "repro compare <baseline-dir> <new-dir> \
+                (or: <baseline-bench.json> <new-bench.json>)",
+        build: |a| {
+            Ok(Command::Compare {
+                baseline: a.path_at(0),
+                new: a.path_at(1),
+            })
+        },
+    },
+    Subcommand {
+        name: "bench",
+        flags: &[OUT, &[("trials", true), ("warmup", true)]],
+        positionals: ANY,
+        usage: "repro bench [--trials N] [--warmup N] [--out FILE] [NAME...]",
+        build: |a| {
+            use crate::microbench::{BENCH_NAMES, DEFAULT_TRIALS, DEFAULT_WARMUP};
+            if let Some(n) = a
+                .positionals
+                .iter()
+                .find(|n| !BENCH_NAMES.contains(&n.as_str()))
+            {
                 return Err(format!(
                     "unknown bench `{n}`; available: {}",
-                    crate::microbench::BENCH_NAMES.join(" ")
+                    BENCH_NAMES.join(" ")
                 ));
             }
-        }
-        return Ok(Command::Bench {
-            names,
-            trials,
-            warmup,
-            out,
-        });
-    }
-    if args.first().map(String::as_str) == Some("check-trace") {
-        let rest = &args[1..];
-        if rest.len() != 1 || rest[0].starts_with("--") {
-            return Err("`repro check-trace` expects exactly one trace file".to_string());
-        }
-        return Ok(Command::CheckTrace {
-            path: PathBuf::from(&rest[0]),
-        });
-    }
-    if args.first().map(String::as_str) == Some("scenarios") {
-        let rest = &args[1..];
-        let mut md = false;
-        let mut check = false;
-        let mut file = PathBuf::from("SCENARIOS.md");
-        let mut i = 0;
-        while i < rest.len() {
-            let arg = &rest[i];
-            match arg.as_str() {
-                "--md" => md = true,
-                "--check" => check = true,
-                a if a == "--file" || a.starts_with("--file=") => {
-                    let v = if let Some(v) = arg.strip_prefix("--file=") {
-                        v.to_string()
-                    } else {
-                        i += 1;
-                        rest.get(i)
-                            .cloned()
-                            .ok_or_else(|| "--file expects a value".to_string())?
-                    };
-                    file = PathBuf::from(v);
-                }
-                a => {
-                    return Err(format!("unknown argument `{a}` for `repro scenarios`"));
-                }
+            Ok(Command::Bench {
+                trials: a.uint("trials")?.unwrap_or(DEFAULT_TRIALS).max(1),
+                warmup: a.uint("warmup")?.unwrap_or(DEFAULT_WARMUP),
+                out: a.path("out"),
+                names: a.positionals,
+            })
+        },
+    },
+    Subcommand {
+        name: "check-trace",
+        flags: &[],
+        positionals: 1..=1,
+        usage: "repro check-trace <trace.json>",
+        build: |a| Ok(Command::CheckTrace { path: a.path_at(0) }),
+    },
+    Subcommand {
+        name: "scenarios",
+        flags: &[CATALOG],
+        positionals: 0..=0,
+        usage: "repro scenarios [--md | --check [--file PATH]]",
+        build: |a| {
+            let (md, check, file) = a.catalog("scenarios", "SCENARIOS.md")?;
+            Ok(Command::Scenarios { md, check, file })
+        },
+    },
+    Subcommand {
+        name: "metrics",
+        flags: &[CATALOG],
+        positionals: 0..=0,
+        usage: "repro metrics [--md | --check [--file PATH]]",
+        build: |a| {
+            let (md, check, file) = a.catalog("metrics", "METRICS.md")?;
+            Ok(Command::Metrics { md, check, file })
+        },
+    },
+    Subcommand {
+        name: "record",
+        flags: &[SCALE, THREADS, OUT, &[("iters", true)]],
+        positionals: 1..=1,
+        usage: "repro record <scenario> --out TRACE [--iters N] [--full] [--gnn-scale N] \
+                [--dlr-scale N] [--threads N]",
+        build: |a| {
+            let scenario = a.positionals[0].clone();
+            if registry().get(&scenario).is_none() {
+                return Err(format!(
+                    "unknown scenario `{scenario}`; see `repro scenarios`"
+                ));
             }
-            i += 1;
-        }
-        if md && check {
-            return Err("`repro scenarios` takes --md or --check, not both".to_string());
-        }
-        return Ok(Command::Scenarios { md, check, file });
-    }
-    if args.first().map(String::as_str) == Some("metrics") {
-        let rest = &args[1..];
-        let mut md = false;
-        let mut check = false;
-        let mut file = PathBuf::from("METRICS.md");
-        let mut i = 0;
-        while i < rest.len() {
-            let arg = &rest[i];
-            match arg.as_str() {
-                "--md" => md = true,
-                "--check" => check = true,
-                a if a == "--file" || a.starts_with("--file=") => {
-                    let v = if let Some(v) = arg.strip_prefix("--file=") {
-                        v.to_string()
-                    } else {
-                        i += 1;
-                        rest.get(i)
-                            .cloned()
-                            .ok_or_else(|| "--file expects a value".to_string())?
-                    };
-                    file = PathBuf::from(v);
-                }
-                a => {
-                    return Err(format!("unknown argument `{a}` for `repro metrics`"));
-                }
-            }
-            i += 1;
-        }
-        if md && check {
-            return Err("`repro metrics` takes --md or --check, not both".to_string());
-        }
-        return Ok(Command::Metrics { md, check, file });
-    }
-    if args.first().map(String::as_str) == Some("record") {
-        let rest = &args[1..];
-        let mut full = false;
-        let mut gnn_scale: Option<usize> = None;
-        let mut dlr_scale: Option<usize> = None;
-        let mut iters: Option<usize> = None;
-        let mut out: Option<PathBuf> = None;
-        let mut threads: Option<usize> = None;
-        let mut names: Vec<String> = Vec::new();
-        let mut i = 0;
-        while i < rest.len() {
-            let arg = &rest[i];
-            let mut value_of = |name: &str| -> Result<String, String> {
-                if let Some(v) = arg.strip_prefix(&format!("--{name}=")) {
-                    return Ok(v.to_string());
-                }
-                i += 1;
-                rest.get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("--{name} expects a value"))
+            Ok(Command::Record {
+                out: a
+                    .path("out")
+                    .ok_or("`repro record` requires --out <trace-file>")?,
+                iters: a.uint("iters")?.map(|n| n.max(1)),
+                knobs: a.scenario()?,
+                threads: a.threads()?,
+                scenario,
+            })
+        },
+    },
+    Subcommand {
+        name: "replay",
+        flags: &[THREADS, OUT, &[("policy", true), ("platform", true)]],
+        positionals: 1..=1,
+        usage: "repro replay TRACE [--policy P] [--platform PL] [--out FILE] [--threads N]",
+        build: |a| {
+            let policy = match a.value("policy") {
+                None => PolicyId::UGache,
+                Some(v) => PolicyId::parse(v).ok_or_else(|| {
+                    format!(
+                        "unknown policy `{v}`; available: {}",
+                        PolicyId::ALL.map(|p| p.name()).join(" ")
+                    )
+                })?,
             };
-            match arg.as_str() {
-                "--full" => full = true,
-                a if a == "--out" || a.starts_with("--out=") => {
-                    out = Some(PathBuf::from(value_of("out")?));
-                }
-                a if a == "--iters" || a.starts_with("--iters=") => {
-                    iters = Some(parse_scale("iters", &value_of("iters")?)?);
-                }
-                a if a == "--threads" || a.starts_with("--threads=") => {
-                    threads = Some(parse_scale("threads", &value_of("threads")?)?);
-                }
-                a if a == "--gnn-scale" || a.starts_with("--gnn-scale=") => {
-                    gnn_scale = Some(parse_scale("gnn-scale", &value_of("gnn-scale")?)?);
-                }
-                a if a == "--dlr-scale" || a.starts_with("--dlr-scale=") => {
-                    dlr_scale = Some(parse_scale("dlr-scale", &value_of("dlr-scale")?)?);
-                }
-                a if a.starts_with("--") => {
-                    return Err(format!("unknown flag `{a}` for `repro record`"));
-                }
-                _ => names.push(arg.clone()),
-            }
-            i += 1;
-        }
-        let [scenario] = names.as_slice() else {
-            return Err(
-                "`repro record` expects exactly one scenario name; see `repro scenarios`"
-                    .to_string(),
-            );
+            let platform = match a.value("platform") {
+                None => None,
+                Some(v) => Some(PlatformId::parse(v).ok_or_else(|| {
+                    format!(
+                        "unknown platform `{v}`; available: {}",
+                        PlatformId::ALL.map(|p| p.name()).join(" ")
+                    )
+                })?),
+            };
+            Ok(Command::Replay {
+                trace: a.path_at(0),
+                policy,
+                platform,
+                out: a.path("out"),
+                threads: a.threads()?,
+            })
+        },
+    },
+    Subcommand {
+        name: "explain-tail",
+        flags: &[SCALE, THREADS, OUT],
+        positionals: 1..=1,
+        usage: "repro explain-tail <serve.json | scenario> [--out FILE] [--full] \
+                [--gnn-scale N] [--dlr-scale N] [--threads N]",
+        build: |a| {
+            Ok(Command::ExplainTail {
+                input: a.positionals[0].clone(),
+                out: a.path("out"),
+                knobs: a.scenario()?,
+                threads: a.threads()?,
+            })
+        },
+    },
+];
+
+/// One invocation split against its [`Subcommand`] row.
+struct Args {
+    /// Flag values by name; a switch maps to the empty string.
+    flags: HashMap<&'static str, String>,
+    positionals: Vec<String>,
+}
+
+impl Args {
+    fn has(&self, name: &str) -> bool {
+        self.flags.contains_key(name)
+    }
+
+    fn value(&self, name: &str) -> Option<&str> {
+        self.flags.get(name).map(String::as_str)
+    }
+
+    fn path(&self, name: &str) -> Option<PathBuf> {
+        self.value(name).map(PathBuf::from)
+    }
+
+    /// Positional `i`; the row's arity guarantees it exists.
+    fn path_at(&self, i: usize) -> PathBuf {
+        PathBuf::from(&self.positionals[i])
+    }
+
+    fn uint(&self, name: &str) -> Result<Option<usize>, String> {
+        self.value(name)
+            .map(|v| {
+                v.parse::<usize>()
+                    .map_err(|_| format!("--{name} expects an unsigned integer, got `{v}`"))
+            })
+            .transpose()
+    }
+
+    /// The scenario after `--full` and the scale overrides (which clamp
+    /// to at least 1).
+    fn scenario(&self) -> Result<Scenario, String> {
+        let mut scenario = if self.has("full") {
+            Scenario::full()
+        } else {
+            Scenario::quick()
         };
-        if registry().get(scenario).is_none() {
+        if let Some(g) = self.uint("gnn-scale")? {
+            scenario.gnn_scale = g.max(1);
+        }
+        if let Some(d) = self.uint("dlr-scale")? {
+            scenario.dlr_scale = d.max(1);
+        }
+        Ok(scenario)
+    }
+
+    fn threads(&self) -> Result<usize, String> {
+        match self.uint("threads")? {
+            // Unlike --jobs (which clamps), a zero-width worker pool is a
+            // contradiction — reject it loudly.
+            Some(0) => Err("--threads must be >= 1, got `0`".to_string()),
+            n => Ok(n.unwrap_or(1)),
+        }
+    }
+
+    /// `--md`, `--check` (which exclude each other) and the `--file`
+    /// path of a catalog subcommand.
+    fn catalog(&self, name: &str, default_file: &str) -> Result<(bool, bool, PathBuf), String> {
+        let (md, check) = (self.has("md"), self.has("check"));
+        if md && check {
+            return Err(format!("`repro {name}` takes --md or --check, not both"));
+        }
+        let file = self.path("file").unwrap_or_else(|| default_file.into());
+        Ok((md, check, file))
+    }
+}
+
+/// Splits `args` into flag values and positionals against `sub`'s row. A
+/// flag's value comes attached (`--out=d`) or as the next argument
+/// (`--out d`); unknown and repeated flags, missing and empty values, and
+/// a positional count outside the row's arity are errors.
+fn split(sub: &Subcommand, args: &[String]) -> Result<Args, String> {
+    let mut flags = HashMap::new();
+    let mut positionals = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let Some(flag) = arg.strip_prefix("--") else {
+            positionals.push(arg.clone());
+            continue;
+        };
+        let (name, attached) = match flag.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (flag, None),
+        };
+        let Some(&(name, takes_value)) = sub.flags.iter().copied().flatten().find(|f| f.0 == name)
+        else {
             return Err(format!(
-                "unknown scenario `{scenario}`; see `repro scenarios`"
+                "unknown flag `{arg}` for `{}`; usage: {}",
+                sub.who(),
+                sub.usage
             ));
-        }
-        let Some(out) = out else {
-            return Err("`repro record` requires --out <trace-file>".to_string());
         };
-        let mut knobs = if full {
-            Scenario::full()
-        } else {
-            Scenario::quick()
-        };
-        if let Some(g) = gnn_scale {
-            knobs.gnn_scale = g;
-        }
-        if let Some(d) = dlr_scale {
-            knobs.dlr_scale = d;
-        }
-        return Ok(Command::Record {
-            scenario: scenario.clone(),
-            out,
-            iters,
-            knobs,
-            threads,
-        });
-    }
-    if args.first().map(String::as_str) == Some("replay") {
-        let rest = &args[1..];
-        let mut policy = PolicyId::UGache;
-        let mut platform: Option<PlatformId> = None;
-        let mut out: Option<PathBuf> = None;
-        let mut threads: Option<usize> = None;
-        let mut paths: Vec<String> = Vec::new();
-        let mut i = 0;
-        while i < rest.len() {
-            let arg = &rest[i];
-            let mut value_of = |name: &str| -> Result<String, String> {
-                if let Some(v) = arg.strip_prefix(&format!("--{name}=")) {
-                    return Ok(v.to_string());
-                }
-                i += 1;
-                rest.get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("--{name} expects a value"))
-            };
-            match arg.as_str() {
-                a if a == "--policy" || a.starts_with("--policy=") => {
-                    let v = value_of("policy")?;
-                    policy = PolicyId::parse(&v).ok_or_else(|| {
-                        format!(
-                            "unknown policy `{v}`; available: {}",
-                            PolicyId::ALL.map(|p| p.name()).join(" ")
-                        )
-                    })?;
-                }
-                a if a == "--platform" || a.starts_with("--platform=") => {
-                    let v = value_of("platform")?;
-                    platform = Some(PlatformId::parse(&v).ok_or_else(|| {
-                        format!(
-                            "unknown platform `{v}`; available: {}",
-                            PlatformId::ALL.map(|p| p.name()).join(" ")
-                        )
-                    })?);
-                }
-                a if a == "--out" || a.starts_with("--out=") => {
-                    out = Some(PathBuf::from(value_of("out")?));
-                }
-                a if a == "--threads" || a.starts_with("--threads=") => {
-                    threads = Some(parse_scale("threads", &value_of("threads")?)?);
-                }
-                a if a.starts_with("--") => {
-                    return Err(format!("unknown flag `{a}` for `repro replay`"));
-                }
-                _ => paths.push(arg.clone()),
-            }
-            i += 1;
-        }
-        let [trace] = paths.as_slice() else {
-            return Err("`repro replay` expects exactly one trace file".to_string());
-        };
-        return Ok(Command::Replay {
-            trace: PathBuf::from(trace),
-            policy,
-            platform,
-            out,
-            threads,
-        });
-    }
-    if args.first().map(String::as_str) == Some("explain-tail") {
-        let rest = &args[1..];
-        let mut full = false;
-        let mut gnn_scale: Option<usize> = None;
-        let mut dlr_scale: Option<usize> = None;
-        let mut out: Option<PathBuf> = None;
-        let mut threads: Option<usize> = None;
-        let mut inputs: Vec<String> = Vec::new();
-        let mut i = 0;
-        while i < rest.len() {
-            let arg = &rest[i];
-            let mut value_of = |name: &str| -> Result<String, String> {
-                if let Some(v) = arg.strip_prefix(&format!("--{name}=")) {
-                    return Ok(v.to_string());
-                }
-                i += 1;
-                rest.get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("--{name} expects a value"))
-            };
-            match arg.as_str() {
-                "--full" => full = true,
-                a if a == "--out" || a.starts_with("--out=") => {
-                    out = Some(PathBuf::from(value_of("out")?));
-                }
-                a if a == "--threads" || a.starts_with("--threads=") => {
-                    threads = Some(parse_scale("threads", &value_of("threads")?)?);
-                }
-                a if a == "--gnn-scale" || a.starts_with("--gnn-scale=") => {
-                    gnn_scale = Some(parse_scale("gnn-scale", &value_of("gnn-scale")?)?);
-                }
-                a if a == "--dlr-scale" || a.starts_with("--dlr-scale=") => {
-                    dlr_scale = Some(parse_scale("dlr-scale", &value_of("dlr-scale")?)?);
-                }
-                a if a.starts_with("--") => {
-                    return Err(format!("unknown flag `{a}` for `repro explain-tail`"));
-                }
-                _ => inputs.push(arg.clone()),
-            }
-            i += 1;
-        }
-        let [input] = inputs.as_slice() else {
-            return Err(
-                "`repro explain-tail` expects exactly one input: a serve artifact \
-                 (serve.json) or a registered serving scenario name"
-                    .to_string(),
-            );
-        };
-        let mut knobs = if full {
-            Scenario::full()
-        } else {
-            Scenario::quick()
-        };
-        if let Some(g) = gnn_scale {
-            knobs.gnn_scale = g;
-        }
-        if let Some(d) = dlr_scale {
-            knobs.dlr_scale = d;
-        }
-        return Ok(Command::ExplainTail {
-            input: input.clone(),
-            out,
-            knobs,
-            threads,
-        });
-    }
-    let profile = args.first().map(String::as_str) == Some("profile");
-    let args = if profile { &args[1..] } else { args };
-
-    let mut full = false;
-    let mut json = false;
-    let mut out: Option<PathBuf> = None;
-    let mut trace: Option<PathBuf> = None;
-    let mut chrome_trace: Option<PathBuf> = None;
-    let mut jobs: usize = 1;
-    let mut threads: Option<usize> = None;
-    let mut gnn_scale: Option<usize> = None;
-    let mut dlr_scale: Option<usize> = None;
-    let mut targets: Vec<String> = Vec::new();
-
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        // A flag's value may come attached (`--out=d`) or as the next
-        // argument (`--out d`).
-        let mut value_of = |name: &str| -> Result<String, String> {
-            if let Some(v) = arg.strip_prefix(&format!("--{name}=")) {
-                return Ok(v.to_string());
-            }
-            i += 1;
-            args.get(i)
+        let value = match (takes_value, attached) {
+            (false, None) => String::new(),
+            (false, Some(_)) => return Err(format!("--{name} takes no value")),
+            (true, Some(v)) => v.to_string(),
+            (true, None) => rest
+                .next()
                 .cloned()
-                .ok_or_else(|| format!("--{name} expects a value"))
+                .ok_or_else(|| format!("--{name} expects a value"))?,
         };
-        match arg.as_str() {
-            "--full" => full = true,
-            "--json" => json = true,
-            a if a == "--out" || a.starts_with("--out=") => {
-                out = Some(PathBuf::from(value_of("out")?));
-            }
-            a if a == "--chrome-trace" || a.starts_with("--chrome-trace=") => {
-                chrome_trace = Some(PathBuf::from(value_of("chrome-trace")?));
-            }
-            a if a == "--trace" || a.starts_with("--trace=") => {
-                trace = Some(PathBuf::from(value_of("trace")?));
-            }
-            a if a == "--jobs" || a.starts_with("--jobs=") => {
-                let v = value_of("jobs")?;
-                jobs = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--jobs expects an unsigned integer, got `{v}`"))?
-                    .max(1);
-            }
-            a if a == "--threads" || a.starts_with("--threads=") => {
-                let v = value_of("threads")?;
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--threads expects an unsigned integer, got `{v}`"))?;
-                if n == 0 {
-                    // Unlike --jobs (which clamps), a zero-width worker
-                    // pool is a contradiction — reject it loudly.
-                    return Err("--threads must be >= 1, got `0`".to_string());
-                }
-                threads = Some(n);
-            }
-            a if a == "--gnn-scale" || a.starts_with("--gnn-scale=") => {
-                gnn_scale = Some(parse_scale("gnn-scale", &value_of("gnn-scale")?)?);
-            }
-            a if a == "--dlr-scale" || a.starts_with("--dlr-scale=") => {
-                dlr_scale = Some(parse_scale("dlr-scale", &value_of("dlr-scale")?)?);
-            }
-            a if a.starts_with("--") => {
-                return Err(format!("unknown flag `{a}`; see `repro list`"));
-            }
-            _ => targets.push(arg.clone()),
+        if takes_value && value.is_empty() {
+            return Err(format!("--{name} expects a non-empty value"));
         }
-        i += 1;
+        if flags.insert(name, value).is_some() {
+            return Err(format!("--{name} is given more than once"));
+        }
     }
+    if !sub.positionals.contains(&positionals.len()) {
+        return Err(format!(
+            "`{}` does not take {} positional argument(s); usage: {}",
+            sub.who(),
+            positionals.len(),
+            sub.usage
+        ));
+    }
+    Ok(Args { flags, positionals })
+}
 
+/// Builds a target run (`repro ...`) or, with `profile`, `repro profile`.
+fn run_spec(a: Args, profile: bool) -> Result<Command, String> {
+    let scenario = a.scenario()?;
+    let jobs = a.uint("jobs")?.unwrap_or(1).max(1);
+    let threads = a.threads()?;
+    let json = a.has("json");
+    let out = a.path("out");
+    let trace = a.path("trace");
+    let chrome_trace = a.path("chrome-trace");
     if json && out.is_none() {
         return Err("--json requires --out <dir>".to_string());
     }
     if out.is_some() && !json {
         return Err("--out requires --json".to_string());
     }
-    if profile && (json || trace.is_some() || chrome_trace.is_some()) {
-        return Err("`repro profile` renders to stdout; it takes no output flags".to_string());
-    }
-    if profile && targets.is_empty() {
-        return Err("`repro profile` expects at least one target".to_string());
-    }
-
+    let mut targets = a.positionals;
     if targets.is_empty() || targets.iter().any(|t| t == "list") {
         return Ok(Command::List);
     }
@@ -656,18 +545,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut seen = std::collections::HashSet::new();
     targets.retain(|t| seen.insert(t.clone()));
 
-    let mut scenario = if full {
-        Scenario::full()
-    } else {
-        Scenario::quick()
-    };
-    if let Some(g) = gnn_scale {
-        scenario.gnn_scale = g;
-    }
-    if let Some(d) = dlr_scale {
-        scenario.dlr_scale = d;
-    }
-
     Ok(Command::Run(RunSpec {
         targets,
         scenario,
@@ -681,25 +558,69 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     }))
 }
 
-/// Resolves the intra-target worker-pool width from the `--threads`
-/// flag and the `REPRO_THREADS` environment variable (flag wins; default
-/// 1). Pure so both sources are unit-testable; the binary passes
-/// `std::env::var("REPRO_THREADS").ok()`.
+/// Every subcommand's usage line, in `repro list` order.
+pub fn usage() -> impl Iterator<Item = &'static str> {
+    SUBCOMMANDS.iter().map(|s| s.usage)
+}
+
+/// Parses `repro` arguments (without the program name). `repro list`
+/// prints what each subcommand accepts.
+///
+/// Unknown or repeated flags, empty flag values and unknown targets are
+/// hard errors. `fig15` is an alias for `fig14` (one combined module);
+/// duplicate targets are removed regardless of position, keeping the
+/// first occurrence. Unknown scenario, policy, platform and bench names
+/// are parse errors; whether an `explain-tail` input is a registered
+/// scenario or an artifact path is resolved at run time.
 ///
 /// # Errors
 ///
-/// Returns a message when `REPRO_THREADS` is not a positive integer.
-pub fn resolve_threads(flag: Option<usize>, env: Option<&str>) -> Result<usize, String> {
-    if let Some(n) = flag {
-        return Ok(n.max(1));
-    }
-    match env {
-        None => Ok(1),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!(
-                "REPRO_THREADS must be a positive integer, got `{v}`"
-            )),
-        },
+/// Returns a human-readable message when the invocation is invalid; the
+/// binary prints it to stderr and exits 2.
+pub fn parse(args: &[String]) -> Result<Command, String> {
+    let named = args.first().and_then(|first| {
+        SUBCOMMANDS
+            .iter()
+            .find(|s| !s.name.is_empty() && s.name == first.as_str())
+    });
+    let (sub, rest) = match named {
+        Some(sub) => (sub, &args[1..]),
+        None => (&SUBCOMMANDS[0], args),
+    };
+    (sub.build)(split(sub, rest)?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lines_name_exactly_the_accepted_flags() {
+        for sub in SUBCOMMANDS {
+            let who = sub.who();
+            assert!(sub.usage.starts_with(&who), "{}", sub.usage);
+            let accepted: Vec<&str> = sub.flags.iter().copied().flatten().map(|f| f.0).collect();
+            let named: Vec<&str> = sub
+                .usage
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|word| word.strip_prefix("--"))
+                .collect();
+            for (i, flag) in accepted.iter().enumerate() {
+                assert!(
+                    named.contains(flag),
+                    "`{who}` accepts --{flag}, but its usage line omits it"
+                );
+                assert!(
+                    !accepted[..i].contains(flag),
+                    "`{who}` lists --{flag} twice"
+                );
+            }
+            for flag in &named {
+                assert!(
+                    accepted.contains(flag),
+                    "`{who}` usage names --{flag}, which it rejects"
+                );
+            }
+        }
     }
 }

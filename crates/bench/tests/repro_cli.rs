@@ -86,11 +86,11 @@ fn parse_full_and_jobs() {
 #[test]
 fn parse_threads_flag() {
     let spec = run_spec(&["fig2"]);
-    assert_eq!(spec.threads, None, "flag absent leaves resolution to env");
+    assert_eq!(spec.threads, 1, "flag absent defaults to one worker");
     let spec = run_spec(&["--threads=8", "fig2"]);
-    assert_eq!(spec.threads, Some(8));
+    assert_eq!(spec.threads, 8);
     let spec = run_spec(&["--threads", "2", "fig2"]);
-    assert_eq!(spec.threads, Some(2));
+    assert_eq!(spec.threads, 2);
     // Unlike --jobs 0 (clamped), --threads 0 is a hard error: a zero-wide
     // pool cannot make progress and silently clamping would hide a typo.
     let err = cli::parse(&args(&["--threads", "0", "fig2"])).unwrap_err();
@@ -102,16 +102,42 @@ fn parse_threads_flag() {
 }
 
 #[test]
-fn resolve_threads_prefers_flag_then_env_then_one() {
-    assert_eq!(cli::resolve_threads(Some(4), Some("8")), Ok(4));
-    assert_eq!(cli::resolve_threads(Some(1), None), Ok(1));
-    assert_eq!(cli::resolve_threads(None, Some("8")), Ok(8));
-    assert_eq!(cli::resolve_threads(None, None), Ok(1));
-    // A malformed env var is a hard error naming the variable.
-    let err = cli::resolve_threads(None, Some("zero")).unwrap_err();
-    assert!(err.contains("REPRO_THREADS"), "{err}");
-    let err = cli::resolve_threads(None, Some("0")).unwrap_err();
-    assert!(err.contains("REPRO_THREADS"), "{err}");
+fn every_subcommand_rejects_zero_threads() {
+    for list in [
+        &["profile", "fig2", "--threads", "0"][..],
+        &["record", "dlr/cr@server_a", "--out=x", "--threads", "0"],
+        &["replay", "x.tr", "--threads=0"],
+        &["explain-tail", "serve.json", "--threads", "0"],
+    ] {
+        let err = cli::parse(&args(list)).unwrap_err();
+        assert!(err.contains("--threads must be >= 1"), "{list:?}: {err}");
+    }
+    match cli::parse(&args(&["record", "dlr/cr@server_a", "--out", "x.tr"])).unwrap() {
+        Command::Record { threads, .. } => assert_eq!(threads, 1),
+        other => panic!("expected Record, got {other:?}"),
+    }
+}
+
+#[test]
+fn parse_rejects_empty_and_repeated_flag_values() {
+    let empty = "expects a non-empty value";
+    let twice = "is given more than once";
+    for (list, flag, problem) in [
+        (&["--json", "--out=", "table1"][..], "--out", empty),
+        (&["--json", "--out", "", "table1"], "--out", empty),
+        (&["replay", "t.trace", "--policy="], "--policy", empty),
+        (&["record", "s", "--out=a", "--out=b"], "--out", twice),
+        (&["--threads=2", "--threads", "4"], "--threads", twice),
+        (&["--full", "fig2", "--full"], "--full", twice),
+        (&["scenarios", "--file=a", "--file=b"], "--file", twice),
+        (&["--full=yes", "fig2"], "--full", "takes no value"),
+    ] {
+        let err = cli::parse(&args(list)).unwrap_err();
+        assert!(
+            err.contains(&format!("{flag} {problem}")),
+            "{list:?}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -639,6 +665,38 @@ fn hostile_inputs_exit_3_instead_of_aborting() {
         Some(3)
     );
     assert_eq!(run(&["explain-tail".as_ref(), deep.as_os_str()]), Some(3));
+    assert_eq!(run(&["check-trace".as_ref(), deep.as_os_str()]), Some(3));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn check_trace_exit_codes_distinguish_invalid_traces_from_unusable_files() {
+    let exe = env!("CARGO_BIN_EXE_repro");
+    let dir = std::env::temp_dir().join(format!("repro-check-trace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let check = |name: &str, contents: Option<&str>| {
+        let path = dir.join(name);
+        if let Some(text) = contents {
+            std::fs::write(&path, text).unwrap();
+        }
+        std::process::Command::new(exe)
+            .arg("check-trace")
+            .arg(&path)
+            .output()
+            .expect("repro runs")
+            .status
+            .code()
+    };
+
+    assert_eq!(check("ok.json", Some("{\"traceEvents\": []}")), Some(0));
+    // Well-formed JSON that breaks the trace rules: a gate failure.
+    assert_eq!(check("bad.json", Some("{\"traceEvents\": [{}]}")), Some(1));
+    // Unreadable file: IO error, exit 2.
+    assert_eq!(check("missing.json", None), Some(2));
+    // Not JSON at all: unusable input, exit 3.
+    assert_eq!(check("garbled.json", Some("{not json")), Some(3));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -44,8 +44,8 @@ thread_local! {
 
 /// Sets the process-global worker count used by the `par_*` functions.
 ///
-/// Intended to be called once at startup (the `repro` binary wires the
-/// `--threads N` flag / `REPRO_THREADS` env var here) before any
+/// Intended to be called once at startup (the `repro` binary wires its
+/// `--threads N` flag here) before any
 /// parallel region runs. Scoped callers (tests, benches) should prefer
 /// [`with_threads`].
 ///
